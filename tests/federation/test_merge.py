@@ -6,16 +6,21 @@ values for one entity) can occur — the paper world's components never
 disagree because each attribute lives in only one view.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.assertions.kinds import AssertionKind
 from repro.assertions.network import AssertionNetwork
 from repro.data.instances import InstanceStore
-from repro.data.migrate import federated_answer
+from repro.data.migrate import _eliminate_subsumed, federated_answer
 from repro.ecr.builder import SchemaBuilder
 from repro.ecr.schema import ObjectRef
 from repro.federation import FederationEngine
-from repro.federation.merge import merge_legs
+from repro.federation import merge
+from repro.federation.merge import eliminate_subsumed, merge_legs
 from repro.federation.plan import MergeStrategy
 from repro.integration.mappings import SchemaMapping
 
@@ -135,6 +140,52 @@ class TestOraclePipeline:
         outcome = merge_legs(plan, positions_rows)
         assert outcome.rows == [("ana", 3.8, None)]
         assert len(rows_a) == 1
+
+
+#: values whose ``==`` crosses types (``1 == 1.0 == True``) next to None
+CELLS = st.sampled_from([None, 0, 1, 1.0, True, "a"])
+ROW_SETS = st.integers(0, 5).flatmap(
+    lambda width: st.sets(st.tuples(*[CELLS] * width), max_size=12)
+)
+#: examples seen / examples where a dominated row was dropped
+_subsumption_runs = {"examples": 0, "dropped": 0}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROW_SETS)
+def test_indexed_subsumption_equals_quadratic_scan(rows):
+    fast = eliminate_subsumed(rows)
+    assert fast == _eliminate_subsumed(rows)
+    _subsumption_runs["examples"] += 1
+    if len(fast) < len(rows):
+        event("dropped a dominated row")
+        _subsumption_runs["dropped"] += 1
+
+
+def test_subsumption_property_is_not_vacuous():
+    _subsumption_runs.update(examples=0, dropped=0)
+    test_indexed_subsumption_equals_quadratic_scan()
+    examples, dropped = _subsumption_runs.values()
+    assert examples and dropped >= 0.25 * examples, _subsumption_runs
+
+
+def _record_federation():
+    """``benchmarks/record_federation.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks"
+    spec = importlib.util.spec_from_file_location(
+        "record_federation", path / "record_federation.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rows_tier_gate_fails_for_a_quadratic_merge(monkeypatch):
+    bench = _record_federation()
+    monkeypatch.setattr(merge, "eliminate_subsumed", _eliminate_subsumed)
+    base, tier = bench.measure_rows_tiers([200, 2_000], rounds=1)
+    assert tier["rows_out"] == 2_000
+    assert not bench.merge_near_linear(base, tier), tier
 
 
 class TestConflicts:
